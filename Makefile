@@ -10,7 +10,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 GOVULNCHECK_VERSION ?= v1.1.3
 
-.PHONY: all build test race shuffle serve-e2e serve-load-smoke crash-smoke bench bench-smoke chaos-smoke agesweep-smoke replay-smoke lint fmt-check vet riflint staticcheck govulncheck
+.PHONY: all build test race shuffle serve-e2e serve-load-smoke crash-smoke bench bench-smoke perfbench-test chaos-smoke agesweep-smoke replay-smoke lint fmt-check vet riflint staticcheck govulncheck
 
 all: build test
 
@@ -62,6 +62,14 @@ bench:
 # timings. CI runs this on every change.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' ./...
+
+# perfbench-test vets and tests the benchmark harness. perfbench/ is a
+# nested module, so the root `go test ./...` never compiles it, yet it
+# builds against core, ssd, serve, replay and trace: this target is
+# what catches an internal API change that would silently break the
+# committed benchmark. CI runs this on every change.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # chaos-smoke drives the fault-injection sweep end to end under the
 # race detector at a tiny sizing: every fault class fires across the

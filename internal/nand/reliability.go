@@ -115,15 +115,22 @@ func NewDefaultModel(seed uint64) *Model {
 // Params returns the model constants.
 func (m *Model) Params() ModelParams { return m.p }
 
-// thresholdsOf lists the VREF indices (1..7) a page type needs.
+// The VREF indices (1..7) each page type senses, shared read-only.
+var (
+	lsbThresholds = []int{1, 5}
+	csbThresholds = []int{2, 4, 6}
+	msbThresholds = []int{3, 7}
+)
+
+// thresholdsOf lists the VREF indices a page type needs.
 func thresholdsOf(pt PageType) []int {
 	switch pt {
 	case LSB:
-		return []int{1, 5}
+		return lsbThresholds
 	case CSB:
-		return []int{2, 4, 6}
+		return csbThresholds
 	default:
-		return []int{3, 7}
+		return msbThresholds
 	}
 }
 
@@ -174,11 +181,17 @@ type condition struct {
 // or the shrunken state gaps, so disturb degrades every VREF mode by a
 // different amount.
 func (m *Model) conditionAt(blockID, pe int, retentionDays float64, reads int64) condition {
+	return m.conditionWith(m.BlockVariation(blockID), pe, retentionDays, reads)
+}
+
+// conditionWith is conditionAt given the block's variation multiplier,
+// so a caller holding a memoised BlockVariation skips re-deriving it.
+func (m *Model) conditionWith(variation float64, pe int, retentionDays float64, reads int64) condition {
 	if retentionDays < 0 {
 		retentionDays = 0
 	}
 	wear := 1 + m.p.PEShiftBoost*float64(pe)/1000
-	l := math.Log1p(retentionDays) * wear * m.BlockVariation(blockID)
+	l := math.Log1p(retentionDays) * wear * variation
 	c := condition{
 		shiftUnit: m.p.RetentionShift * l,
 		sigma:     m.p.SigmaFresh * (1 + m.p.RetentionWiden*l + m.p.PEWiden*float64(pe)/1000),
@@ -245,13 +258,24 @@ func (m *Model) vrefAt(j int, mode VrefMode, c condition) float64 {
 func (m *Model) rberAcross(pt PageType, c condition, vref func(j int) float64) float64 {
 	rber := 0.0
 	for _, j := range thresholdsOf(pt) {
-		v := vref(j)
-		lo := m.stateMean(j-1, c)
-		hi := m.stateMean(j, c)
-		rber += (qFunc((v-lo)/c.sigma) + qFunc((hi-v)/c.sigma)) / 8
+		rber += m.thresholdTail(j, c, vref(j))
 	}
+	return capRBER(rber)
+}
+
+// thresholdTail is the per-threshold tail formula: the misread
+// probability across threshold j sensed at voltage v, from the two
+// adjacent states.
+func (m *Model) thresholdTail(j int, c condition, v float64) float64 {
+	lo := m.stateMean(j-1, c)
+	hi := m.stateMean(j, c)
+	return (qFunc((v-lo)/c.sigma) + qFunc((hi-v)/c.sigma)) / 8
+}
+
+// capRBER clamps a summed RBER at one half (a coin flip per bit).
+func capRBER(rber float64) float64 {
 	if rber > 0.5 {
-		rber = 0.5
+		return 0.5
 	}
 	return rber
 }

@@ -4,12 +4,17 @@ package sim
 // an ECC engine slot). Requests are granted FIFO. A grant callback runs
 // synchronously when capacity becomes available; the holder must call
 // Release exactly once per grant.
+//
+// The waiter list is a reused FIFO, so a steady-state acquire/release
+// cycle allocates nothing as long as callers pass handlers they bound
+// once (a method value stored on a long-lived record) rather than a
+// fresh closure per acquisition.
 type Resource struct {
 	eng      *Engine
 	name     string
 	capacity int
 	inUse    int
-	waiters  []Handler
+	waiters  FIFO[Handler]
 
 	// Busy-time accounting: busySince is valid while inUse > 0.
 	busy      Time
@@ -31,19 +36,21 @@ func (r *Resource) Name() string { return r.name }
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen reports the number of waiting acquirers.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int { return r.waiters.Len() }
 
 // Idle reports whether nothing holds or waits for the resource.
-func (r *Resource) Idle() bool { return r.inUse == 0 && len(r.waiters) == 0 }
+func (r *Resource) Idle() bool { return r.inUse == 0 && r.waiters.Len() == 0 }
 
 // Acquire requests one unit of capacity. If available, fn runs
 // immediately; otherwise it is queued FIFO.
+//
+//riflint:hotpath
 func (r *Resource) Acquire(fn Handler) {
 	if r.inUse < r.capacity {
 		r.grant(fn)
 		return
 	}
-	r.waiters = append(r.waiters, fn)
+	r.waiters.Push(fn)
 }
 
 // TryAcquire requests one unit only if immediately available,
@@ -66,6 +73,8 @@ func (r *Resource) grant(fn Handler) {
 
 // Release returns one unit of capacity and hands it to the next waiter,
 // if any. The waiter's callback runs synchronously.
+//
+//riflint:hotpath
 func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: release of idle resource " + r.name)
@@ -74,10 +83,8 @@ func (r *Resource) Release() {
 	if r.inUse == 0 {
 		r.busy += r.eng.Now() - r.busySince
 	}
-	if len(r.waiters) > 0 {
-		next := r.waiters[0]
-		r.waiters = r.waiters[1:]
-		r.grant(next)
+	if r.waiters.Len() > 0 {
+		r.grant(r.waiters.Pop())
 	}
 }
 
@@ -89,18 +96,4 @@ func (r *Resource) BusyTime() Time {
 		b += r.eng.Now() - r.busySince
 	}
 	return b
-}
-
-// Use acquires the resource, holds it for d, then releases it. done, if
-// non-nil, runs at release time after the release (so a chained stage
-// can immediately acquire downstream resources).
-func (r *Resource) Use(d Time, done Handler) {
-	r.Acquire(func() {
-		r.eng.After(d, func() {
-			r.Release()
-			if done != nil {
-				done()
-			}
-		})
-	})
 }

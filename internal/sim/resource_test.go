@@ -106,29 +106,64 @@ func TestResourceZeroCapacityPanics(t *testing.T) {
 func TestResourceBusyTime(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "ch", 1)
-	e.At(100, func() { r.Use(50, nil) })
-	e.At(400, func() { r.Use(25, nil) })
+	e.At(100, func() { hold(r, 50, nil) })
+	e.At(400, func() { hold(r, 25, nil) })
 	e.Run()
 	if got := r.BusyTime(); got != 75 {
 		t.Fatalf("BusyTime = %v, want 75", got)
 	}
 }
 
-func TestResourceUseChainsDone(t *testing.T) {
+func TestResourceHoldChainsDone(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "ch", 1)
 	var doneAt Time = -1
 	e.At(0, func() {
-		r.Use(30, func() { doneAt = e.Now() })
+		hold(r, 30, func() { doneAt = e.Now() })
 	})
 	e.Run()
 	if doneAt != 30 {
 		t.Fatalf("done ran at %v, want 30", doneAt)
 	}
 	if !r.Idle() {
-		t.Fatal("resource busy after Use completed")
+		t.Fatal("resource busy after the hold completed")
 	}
 }
+
+// TestResourceAcquireReleaseZeroAlloc pins the steady-state
+// acquire/hold/release cycle with bound handlers: queued waiters ride
+// the reused FIFO, so once its ring has grown to the waiter high-water
+// mark nothing allocates.
+func TestResourceAcquireReleaseZeroAlloc(t *testing.T) {
+	e := NewEngine()
+	r := NewResource(e, "host", 1)
+	h := &holder{r: r, d: 5}
+	h.granted, h.released = h.grant, h.release
+	cycle := func() {
+		for i := 0; i < 8; i++ {
+			r.Acquire(h.granted)
+		}
+		e.Run()
+	}
+	cycle() // warm the waiter ring and the event free list
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("acquire/release cycle allocates %.1f times per run, want 0", allocs)
+	}
+	if !r.Idle() || r.BusyTime() == 0 {
+		t.Fatal("resource not exercised")
+	}
+}
+
+// holder is a long-lived record with its handlers bound once, the way
+// the SSD model's command records use a Resource.
+type holder struct {
+	r                 *Resource
+	d                 Time
+	granted, released Handler
+}
+
+func (h *holder) grant()   { h.r.eng.After(h.d, h.released) }
+func (h *holder) release() { h.r.Release() }
 
 func TestResourceBackToBackUtilization(t *testing.T) {
 	// Saturating a unit-capacity resource with N back-to-back holds of
@@ -138,7 +173,7 @@ func TestResourceBackToBackUtilization(t *testing.T) {
 	const n, d = 20, 13
 	e.At(0, func() {
 		for i := 0; i < n; i++ {
-			r.Use(d, nil)
+			hold(r, d, nil)
 		}
 	})
 	end := e.Run()
@@ -148,4 +183,17 @@ func TestResourceBackToBackUtilization(t *testing.T) {
 	if r.BusyTime() != n*d {
 		t.Fatalf("busy = %v, want %v", r.BusyTime(), Time(n*d))
 	}
+}
+
+// hold acquires r, keeps the grant for d, then releases it and runs
+// done (if non-nil) — the acquire/hold/release idiom the tests drive.
+func hold(r *Resource, d Time, done Handler) {
+	r.Acquire(func() {
+		r.eng.After(d, func() {
+			r.Release()
+			if done != nil {
+				done()
+			}
+		})
+	})
 }

@@ -1,6 +1,10 @@
 package ssd
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
 
 // writeCache is the controller's DRAM write buffer: a counting
 // semaphore over page slots. A host write completes once its pages
@@ -11,7 +15,7 @@ import "fmt"
 type writeCache struct {
 	capacity int
 	inUse    int
-	waiters  []cacheWaiter
+	waiters  sim.FIFO[cacheWaiter]
 
 	// fail receives accounting errors (a release below zero) so the
 	// run can surface them in its result instead of panicking.
@@ -26,7 +30,7 @@ type writeCache struct {
 
 type cacheWaiter struct {
 	pages int
-	fn    func()
+	owner stepper
 }
 
 func newWriteCache(pages int, fail func(error)) *writeCache {
@@ -36,21 +40,23 @@ func newWriteCache(pages int, fail func(error)) *writeCache {
 // enabled reports whether the device has a cache at all.
 func (c *writeCache) enabled() bool { return c.capacity > 0 }
 
-// acquire grants pages slots, running fn immediately if room exists
-// or queueing FIFO otherwise. Requests larger than the whole cache
-// are granted alone when the cache drains completely.
-func (c *writeCache) acquire(pages int, fn func()) {
-	if c.admissible(pages) && len(c.waiters) == 0 {
+// acquire grants pages slots, resuming owner immediately if room
+// exists or queueing it FIFO otherwise. Requests larger than the whole
+// cache are granted alone when the cache drains completely.
+//
+//riflint:hotpath
+func (c *writeCache) acquire(pages int, owner stepper) {
+	if c.admissible(pages) && c.waiters.Len() == 0 {
 		c.hits++
 		c.inUse += pages
 		if c.inUse > c.inUseHigh {
 			c.inUseHigh = c.inUse
 		}
-		fn()
+		owner.step()
 		return
 	}
 	c.stalls++
-	c.waiters = append(c.waiters, cacheWaiter{pages: pages, fn: fn})
+	c.waiters.Push(cacheWaiter{pages: pages, owner: owner})
 }
 
 func (c *writeCache) admissible(pages int) bool {
@@ -61,29 +67,35 @@ func (c *writeCache) admissible(pages int) bool {
 }
 
 // release returns pages slots and admits as many waiters as now fit.
+//
+//riflint:hotpath
 func (c *writeCache) release(pages int) {
 	c.inUse -= pages
 	if c.inUse < 0 {
-		// Accounting bug: clamp and surface it through the run result
-		// rather than panicking mid-simulation.
-		if c.fail != nil {
-			c.fail(fmt.Errorf("ssd: write cache released below zero (%d pages over)", -c.inUse))
-		}
-		c.inUse = 0
+		c.underflow()
 	}
-	for len(c.waiters) > 0 {
-		w := c.waiters[0]
-		if !c.admissible(w.pages) {
+	for c.waiters.Len() > 0 {
+		if !c.admissible(c.waiters.Front().pages) {
 			return
 		}
-		c.waiters = c.waiters[1:]
+		w := c.waiters.Pop()
 		c.inUse += w.pages
 		if c.inUse > c.inUseHigh {
 			c.inUseHigh = c.inUse
 		}
-		w.fn()
+		w.owner.step()
 	}
 }
 
+// underflow handles an accounting bug: clamp and surface it through
+// the run result rather than panicking mid-simulation.
+func (c *writeCache) underflow() {
+	if c.fail != nil {
+		//riflint:allow alloc -- failure path: reports a model bug once and the run returns the error
+		c.fail(fmt.Errorf("ssd: write cache released below zero (%d pages over)", -c.inUse))
+	}
+	c.inUse = 0
+}
+
 // idle reports whether nothing is buffered or waiting.
-func (c *writeCache) idle() bool { return c.inUse == 0 && len(c.waiters) == 0 }
+func (c *writeCache) idle() bool { return c.inUse == 0 && c.waiters.Len() == 0 }

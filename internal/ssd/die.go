@@ -35,12 +35,21 @@ func (p DiePolicy) String() string {
 	return "unknown"
 }
 
-// dieOp is one array operation.
+// stepper is a parked continuation: a command record, a die flusher,
+// or a test probe. A station holding one of its occupancies calls step
+// when the occupancy completes; the record's own state says what comes
+// next. Stations store the stepper in a value slot of a reused FIFO, so
+// handing one over allocates nothing.
+type stepper interface {
+	step()
+}
+
+// dieOp is one array operation, queued by value.
 type dieOp struct {
 	dur    sim.Time
 	isRead bool
 	label  string
-	done   func()
+	owner  stepper // resumed on completion; nil for background occupancy
 }
 
 // dieStation schedules one die's array operations. Unlike the plain
@@ -54,14 +63,18 @@ type dieStation struct {
 	// timeline rendering).
 	record func(resource, label string, start, end sim.Time)
 
-	readQ []*dieOp
-	progQ []*dieOp
+	readQ sim.FIFO[dieOp]
+	progQ sim.FIFO[dieOp]
 
-	running    *dieOp
-	finishAt   sim.Time
-	finishEvt  sim.EventID
-	suspended  []*dieOp   // preempted programs, LIFO
-	suspRemain []sim.Time // remaining time of each suspended op
+	running   bool
+	cur       dieOp // the running op, valid while running
+	start     sim.Time
+	finishAt  sim.Time
+	finishEvt sim.EventID
+	onFinish  sim.Handler // d.finish, bound once
+	// suspended holds preempted programs, LIFO; each one's dur is its
+	// remaining time plus the resume penalty.
+	suspended []dieOp
 
 	// suspensions counts program/erase preemptions, for metrics.
 	suspensions int64
@@ -71,9 +84,11 @@ type dieStation struct {
 }
 
 // noteDepth refreshes the queue-depth high-water mark.
+//
+//riflint:hotpath
 func (d *dieStation) noteDepth() {
-	depth := len(d.readQ) + len(d.progQ) + len(d.suspended)
-	if d.running != nil {
+	depth := d.readQ.Len() + d.progQ.Len() + len(d.suspended)
+	if d.running {
 		depth++
 	}
 	if depth > d.qHigh {
@@ -82,38 +97,43 @@ func (d *dieStation) noteDepth() {
 }
 
 func newDieStation(eng *sim.Engine, policy DiePolicy, resumePenalty sim.Time) *dieStation {
-	return &dieStation{eng: eng, policy: policy, resumePenalty: resumePenalty}
+	d := &dieStation{eng: eng, policy: policy, resumePenalty: resumePenalty}
+	d.onFinish = d.finish
+	return d
 }
 
-// Read schedules a sense operation of the given duration.
-func (d *dieStation) Read(dur sim.Time, done func()) {
-	d.ReadLabeled(dur, "", done)
-}
-
-// ReadLabeled is Read with a timeline label.
-func (d *dieStation) ReadLabeled(dur sim.Time, label string, done func()) {
-	op := &dieOp{dur: dur, isRead: true, label: label, done: done}
+// Read schedules a labeled sense operation of the given duration;
+// owner resumes when it completes.
+//
+//riflint:hotpath
+func (d *dieStation) Read(dur sim.Time, label string, owner stepper) {
+	op := dieOp{dur: dur, isRead: true, label: label, owner: owner}
 	if d.policy == DieFIFO {
-		d.progQ = append(d.progQ, op) // single queue in FIFO mode
+		d.progQ.Push(op) // single queue in FIFO mode
 	} else {
-		d.readQ = append(d.readQ, op)
+		d.readQ.Push(op)
 	}
 	d.noteDepth()
 	d.maybePreempt()
 	d.kick()
 }
 
-// Program schedules a program/erase/GC occupancy.
-func (d *dieStation) Program(dur sim.Time, done func()) {
-	d.progQ = append(d.progQ, &dieOp{dur: dur, label: "W", done: done})
+// Program schedules a program/erase/GC occupancy; owner, if non-nil,
+// resumes when it completes.
+//
+//riflint:hotpath
+func (d *dieStation) Program(dur sim.Time, owner stepper) {
+	d.progQ.Push(dieOp{dur: dur, label: "W", owner: owner})
 	d.noteDepth()
 	d.kick()
 }
 
 // maybePreempt suspends a running program when policy allows and a
 // read is waiting.
+//
+//riflint:hotpath
 func (d *dieStation) maybePreempt() {
-	if d.policy != DieSuspension || d.running == nil || d.running.isRead || len(d.readQ) == 0 {
+	if d.policy != DieSuspension || !d.running || d.cur.isRead || d.readQ.Len() == 0 {
 		return
 	}
 	remaining := d.finishAt - d.eng.Now()
@@ -121,53 +141,62 @@ func (d *dieStation) maybePreempt() {
 		return // completing this instant
 	}
 	d.eng.Cancel(d.finishEvt)
-	d.suspended = append(d.suspended, d.running)
-	d.suspRemain = append(d.suspRemain, remaining+d.resumePenalty)
+	op := d.cur
+	op.dur = remaining + d.resumePenalty
+	//riflint:allow alloc -- suspension stack high-water growth: bounded by the program ops one die can have preempted at once
+	d.suspended = append(d.suspended, op)
 	d.suspensions++
-	d.running = nil
+	d.running = false
+	d.cur = dieOp{}
 }
 
 // kick starts the next operation if the die is free.
+//
+//riflint:hotpath
 func (d *dieStation) kick() {
-	if d.running != nil {
+	if d.running {
 		return
 	}
-	var op *dieOp
 	switch {
-	case len(d.readQ) > 0:
-		op = d.readQ[0]
-		d.readQ = d.readQ[1:]
+	case d.readQ.Len() > 0:
+		d.cur = d.readQ.Pop()
 	case len(d.suspended) > 0:
 		// Resume the most recently suspended program.
 		n := len(d.suspended) - 1
-		op = d.suspended[n]
-		op.dur = d.suspRemain[n]
+		d.cur = d.suspended[n]
+		d.suspended[n] = dieOp{}
 		d.suspended = d.suspended[:n]
-		d.suspRemain = d.suspRemain[:n]
-	case len(d.progQ) > 0:
-		op = d.progQ[0]
-		d.progQ = d.progQ[1:]
+	case d.progQ.Len() > 0:
+		d.cur = d.progQ.Pop()
 	default:
 		return
 	}
-	d.running = op
-	start := d.eng.Now()
-	d.finishAt = start + op.dur
-	d.finishEvt = d.eng.After(op.dur, func() {
-		d.running = nil
-		if d.record != nil {
-			d.record(d.name, op.label, start, d.eng.Now())
-		}
-		if op.done != nil {
-			op.done()
-		}
-		d.kick()
-	})
+	d.running = true
+	d.start = d.eng.Now()
+	d.finishAt = d.start + d.cur.dur
+	d.finishEvt = d.eng.After(d.cur.dur, d.onFinish)
+}
+
+// finish completes the running op: record its span, resume its owner,
+// then start whatever is next.
+//
+//riflint:hotpath
+func (d *dieStation) finish() {
+	op := d.cur
+	d.running = false
+	d.cur = dieOp{}
+	if d.record != nil {
+		d.record(d.name, op.label, d.start, d.eng.Now())
+	}
+	if op.owner != nil {
+		op.owner.step()
+	}
+	d.kick()
 }
 
 // Idle reports whether the die has no running or queued work.
 func (d *dieStation) Idle() bool {
-	return d.running == nil && len(d.readQ) == 0 && len(d.progQ) == 0 && len(d.suspended) == 0
+	return !d.running && d.readQ.Len() == 0 && d.progQ.Len() == 0 && len(d.suspended) == 0
 }
 
 // Suspensions reports how many preemptions occurred.

@@ -15,13 +15,23 @@ type flushPage struct {
 // per tPROG — which is how real controllers amortize the 400-us
 // program over the plane parallelism (and what keeps mixed workloads
 // from being program-bound).
+//
+// The flusher is its own flush-command state record: at most one batch
+// is in flight per die, so the batch's size, GC debt and stage live in
+// the flusher and the channel and die resume it directly.
 type dieFlusher struct {
 	ssd      *SSD
 	die      *dieStation
 	ch       *channelStation
-	perPlane [][]flushPage // FIFO per plane
+	perPlane []sim.FIFO[flushPage]
 	pending  int
 	active   bool
+
+	// The in-flight batch: its page count, GC debt, and whether the
+	// channel transfer has landed (the program is then running).
+	batch       int
+	gc          sim.Time
+	programming bool
 }
 
 func newDieFlusher(s *SSD, die *dieStation, ch *channelStation) *dieFlusher {
@@ -29,17 +39,21 @@ func newDieFlusher(s *SSD, die *dieStation, ch *channelStation) *dieFlusher {
 		ssd:      s,
 		die:      die,
 		ch:       ch,
-		perPlane: make([][]flushPage, s.cfg.Geometry.PlanesPerDie),
+		perPlane: make([]sim.FIFO[flushPage], s.cfg.Geometry.PlanesPerDie),
 	}
 }
 
 // enqueue buffers one page for background programming.
+//
+//riflint:hotpath
 func (f *dieFlusher) enqueue(p flushPage) {
-	f.perPlane[p.plane] = append(f.perPlane[p.plane], p)
+	f.perPlane[p.plane].Push(p)
 	f.pending++
 }
 
 // kick starts the flusher if it is idle and work exists.
+//
+//riflint:hotpath
 func (f *dieFlusher) kick() {
 	if f.active || f.pending == 0 {
 		return
@@ -49,18 +63,18 @@ func (f *dieFlusher) kick() {
 }
 
 // flushBatch assembles a multi-plane batch (at most one page per
-// plane), moves it across the channel, programs it, releases the
-// cache slots, and loops while work remains.
+// plane) and moves it across the channel; step programs it, releases
+// the cache slots, and loops while work remains.
+//
+//riflint:hotpath
 func (f *dieFlusher) flushBatch() {
 	var gc sim.Time
 	batch := 0
 	for pl := range f.perPlane {
-		if len(f.perPlane[pl]) == 0 {
+		if f.perPlane[pl].Len() == 0 {
 			continue
 		}
-		p := f.perPlane[pl][0]
-		f.perPlane[pl] = f.perPlane[pl][1:]
-		gc += p.gcTime
+		gc += f.perPlane[pl].Pop().gcTime
 		batch++
 	}
 	if batch == 0 {
@@ -68,17 +82,22 @@ func (f *dieFlusher) flushBatch() {
 		return
 	}
 	f.pending -= batch
-	f.ch.submit(&xferJob{
-		kind:  xferWrite,
-		pages: batch,
-		label: "W",
-		onDecoded: func() {
-			f.die.Program(gc+f.ssd.cfg.Timing.TProg, func() {
-				f.ssd.cache.release(batch)
-				f.flushBatch()
-			})
-		},
-	})
+	f.batch, f.gc, f.programming = batch, gc, false
+	f.ch.submit(xferJob{kind: xferWrite, pages: batch, label: "W", owner: f})
+}
+
+// step resumes the in-flight batch: after the transfer, program it;
+// after the program, release its cache slots and start the next.
+//
+//riflint:hotpath
+func (f *dieFlusher) step() {
+	if !f.programming {
+		f.programming = true
+		f.die.Program(f.gc+f.ssd.cfg.Timing.TProg, f)
+		return
+	}
+	f.ssd.cache.release(f.batch)
+	f.flushBatch()
 }
 
 // idle reports whether the flusher has no buffered or in-flight work.

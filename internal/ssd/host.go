@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // HostQueue is one NVMe-style submission queue: its own workload
@@ -46,47 +45,9 @@ func (s *SSD) RunQueues(queues []HostQueue, nPerQueue int) (*Metrics, []QueueMet
 	if nPerQueue <= 0 {
 		return nil, nil, fmt.Errorf("ssd: nPerQueue = %d", nPerQueue)
 	}
-	perQueue := make([]QueueMetrics, len(queues))
-	remaining := make([]int, len(queues))
-
-	var issue func(qi int)
-	issue = func(qi int) {
-		if remaining[qi] == 0 {
-			return
-		}
-		remaining[qi]--
-		s.inFlight++
-		q := &queues[qi]
-		req := q.Workload.Next()
-		start := s.eng.Now()
-		// Cold-age lookups route through the owning queue's workload.
-		prev := s.workload
-		s.workload = q.Workload
-		s.runRequest(req, func(res cmdResult) {
-			s.inFlight--
-			s.m.RequestsCompleted++
-			s.lastDone = s.eng.Now()
-			if res.uncPages > 0 {
-				s.m.MediaErrorRequests++
-			}
-			qm := &perQueue[qi]
-			qm.RequestsCompleted++
-			bytes := int64(req.Pages) * int64(s.cfg.Geometry.PageBytes)
-			if req.Op == trace.Read {
-				s.m.BytesRead += bytes
-				qm.BytesRead += bytes
-				lat := (s.eng.Now() - start).Microseconds()
-				s.m.ReadLatencies.Add(lat)
-				qm.ReadLatencies.Add(lat)
-			} else {
-				s.m.BytesWritten += bytes
-				qm.BytesWritten += bytes
-			}
-			issue(qi)
-		})
-		s.workload = prev
-	}
-
+	s.queues = queues
+	s.queueLeft = make([]int, len(queues))
+	s.queueStats = make([]QueueMetrics, len(queues))
 	for qi := range queues {
 		if queues[qi].Workload == nil {
 			return nil, nil, fmt.Errorf("ssd: queue %d has no workload", qi)
@@ -98,9 +59,9 @@ func (s *SSD) RunQueues(queues []HostQueue, nPerQueue int) (*Metrics, []QueueMet
 		if depth > nPerQueue {
 			depth = nPerQueue
 		}
-		remaining[qi] = nPerQueue
+		s.queueLeft[qi] = nPerQueue
 		for i := 0; i < depth; i++ {
-			issue(qi)
+			s.issueQueued(qi)
 		}
 	}
 
@@ -108,5 +69,23 @@ func (s *SSD) RunQueues(queues []HostQueue, nPerQueue int) (*Metrics, []QueueMet
 	if err := s.finishRun(); err != nil {
 		return nil, nil, err
 	}
-	return &s.m, perQueue, nil
+	return &s.m, s.queueStats, nil
+}
+
+// issueQueued admits host queue qi's next request, if its budget
+// allows. Its completion runs the shared completeRequest step, then
+// comes back here: each queue keeps its own depth outstanding.
+//
+//riflint:hotpath
+func (s *SSD) issueQueued(qi int) {
+	if s.queueLeft[qi] == 0 {
+		return
+	}
+	s.queueLeft[qi]--
+	q := &s.queues[qi]
+	r := s.newRequest(q.Workload.Next(), s.eng.Now(), queueHost)
+	r.queue = qi
+	// Cold-age lookups route through the owning queue's workload.
+	r.wl = q.Workload
+	s.admit(r)
 }

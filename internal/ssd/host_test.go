@@ -2,6 +2,9 @@ package ssd
 
 import (
 	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/stats"
 )
 
 func TestRunQueuesBasic(t *testing.T) {
@@ -119,5 +122,59 @@ func TestRunQueuesDeterministic(t *testing.T) {
 	m2, q2 := mk()
 	if m1.Makespan != m2.Makespan || q1[0].BytesRead != q2[0].BytesRead || q1[1].BytesWritten != q2[1].BytesWritten {
 		t.Fatal("multi-queue runs diverged")
+	}
+}
+
+// TestRunQueuesSharesTheCompletionStep pins that the multi-queue host
+// completes requests through the same step as the single-stream host:
+// every completed read feeds the ssd_read_latency_us histogram, the
+// in-flight high-water mark is tracked, and a configured latency sketch
+// receives the latencies instead of the exact sample.
+func TestRunQueuesSharesTheCompletionStep(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfg := smallConfig(RiF, 1000)
+	cfg.Obs = reg
+	s, err := New(cfg, smallWorkload(t, "Ali124", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	queues := []HostQueue{
+		{Workload: smallWorkload(t, "Ali124", 2), Depth: 8},
+		{Workload: smallWorkload(t, "Ali2", 3), Depth: 4},
+	}
+	m, perQueue, err := s.RunQueues(queues, 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := 0
+	for _, q := range perQueue {
+		reads += q.ReadLatencies.N()
+	}
+	if reads == 0 {
+		t.Fatal("no reads completed")
+	}
+	if got := reg.Histogram("ssd_read_latency_us").Count(); got != int64(reads) {
+		t.Errorf("ssd_read_latency_us counted %d observations, %d reads completed", got, reads)
+	}
+	if m.ReadLatencies.N() != reads {
+		t.Errorf("device sample holds %d latencies, %d reads completed", m.ReadLatencies.N(), reads)
+	}
+	if m.PeakInFlight != 12 {
+		t.Errorf("PeakInFlight = %d, want the summed queue depths (12)", m.PeakInFlight)
+	}
+
+	sketched := smallConfig(RiF, 1000)
+	sketched.LatencySketch = stats.NewSketch(0.01)
+	s2, err := New(sketched, smallWorkload(t, "Ali124", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, _, err := s2.RunQueues(queues[:1], 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m2.ReadLatencies.N() != 0 || sketched.LatencySketch.N() == 0 {
+		t.Errorf("with a latency sketch configured, sample holds %d and sketch %d latencies; want 0 and > 0",
+			m2.ReadLatencies.N(), sketched.LatencySketch.N())
 	}
 }

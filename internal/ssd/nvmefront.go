@@ -61,30 +61,9 @@ func (b *NVMeBackend) Execute(_ uint16, cmd nvme.Command, done func(nvme.Status)
 		LPN:   firstPage,
 		Pages: int(lastPage-firstPage) + 1,
 	}
-	s.inFlight++
-	s.runRequest(req, func(res cmdResult) {
-		s.inFlight--
-		s.m.RequestsCompleted++
-		s.lastDone = s.eng.Now()
-		bytes := int64(req.Pages) * pageBytes
-		if req.Op == trace.Read {
-			s.m.BytesRead += bytes
-		} else {
-			s.m.BytesWritten += bytes
-		}
-		// Degradation outcomes surface as real NVMe statuses: a read
-		// with retry-exhausted pages is a media error (SCT 2h / SC
-		// 81h), a write the FTL could not place is an internal error.
-		st := nvme.StatusSuccess
-		if res.uncPages > 0 {
-			s.m.MediaErrorRequests++
-			st = nvme.StatusMediaError
-		}
-		if res.writeErr {
-			st = nvme.StatusInternal
-		}
-		done(st)
-	})
+	r := s.newRequest(req, s.eng.Now(), nvmeHost)
+	r.nvmeDone = done
+	s.admit(r)
 }
 
 // Drain runs the simulation engine until all in-flight work finishes

@@ -290,19 +290,29 @@ func TestSplitRequestGrouping(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 10 pages starting at lpn 2: groups [2,3], [4..7], [8..11].
-	cmds := s.splitRequest(trace.Request{Op: trace.Read, LPN: 2, Pages: 10})
-	if len(cmds) != 3 {
-		t.Fatalf("%d commands", len(cmds))
+	var groups [][]int64
+	for lpn, remaining := int64(2), 10; remaining > 0; {
+		n := s.dieGroup(lpn, remaining)
+		var g []int64
+		for i := 0; i < n; i++ {
+			g = append(g, lpn+int64(i))
+		}
+		groups = append(groups, g)
+		lpn += int64(n)
+		remaining -= n
 	}
-	if len(cmds[0].lpns) != 2 || len(cmds[1].lpns) != 4 || len(cmds[2].lpns) != 4 {
-		t.Fatalf("group sizes: %d %d %d", len(cmds[0].lpns), len(cmds[1].lpns), len(cmds[2].lpns))
+	if len(groups) != 3 {
+		t.Fatalf("%d commands", len(groups))
+	}
+	if len(groups[0]) != 2 || len(groups[1]) != 4 || len(groups[2]) != 4 {
+		t.Fatalf("group sizes: %d %d %d", len(groups[0]), len(groups[1]), len(groups[2]))
 	}
 	// Every command stays on one die.
-	for _, cmd := range cmds {
-		first := s.ftl.PlaneIndexOf(cmd.lpns[0]) / s.cfg.Geometry.PlanesPerDie
-		for _, lpn := range cmd.lpns {
+	for _, g := range groups {
+		first := s.ftl.PlaneIndexOf(g[0]) / s.cfg.Geometry.PlanesPerDie
+		for _, lpn := range g {
 			if s.ftl.PlaneIndexOf(lpn)/s.cfg.Geometry.PlanesPerDie != first {
-				t.Fatalf("command spans dies: %v", cmd.lpns)
+				t.Fatalf("command spans dies: %v", g)
 			}
 		}
 	}
