@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"sync"
 	"syscall"
 	"time"
 
@@ -86,12 +87,13 @@ const (
 )
 
 // StorageInjector answers the persistence layer's fault queries. Every
-// decision is a pure function of (seed, fault config, query order): the
-// store and journal query under their own locks, so one process's
-// operation order fixes the draw sequence. A nil StorageInjector is
-// valid and never injects.
+// decision is a pure function of (seed, fault config, query order). One
+// injector is shared by the store and the journal, which query it under
+// their own, different locks, so the injector serializes its draws
+// itself. A nil StorageInjector is valid and never injects.
 type StorageInjector struct {
 	cfg   StorageConfig
+	mu    sync.Mutex // guards the streams
 	write *sim.RNG
 	torn  *sim.RNG
 	sync  *sim.RNG
@@ -130,6 +132,8 @@ func (i *StorageInjector) WriteError() bool {
 	if i == nil || i.cfg.WriteErrorRate <= 0 {
 		return false
 	}
+	i.mu.Lock()
+	defer i.mu.Unlock()
 	return i.write.Bernoulli(i.cfg.WriteErrorRate)
 }
 
@@ -139,6 +143,8 @@ func (i *StorageInjector) TornWrite() (bool, float64) {
 	if i == nil || i.cfg.TornWriteRate <= 0 {
 		return false, 0
 	}
+	i.mu.Lock()
+	defer i.mu.Unlock()
 	if !i.torn.Bernoulli(i.cfg.TornWriteRate) {
 		return false, 0
 	}
@@ -152,6 +158,8 @@ func (i *StorageInjector) SyncError() bool {
 	if i == nil || i.cfg.SyncErrorRate <= 0 {
 		return false
 	}
+	i.mu.Lock()
+	defer i.mu.Unlock()
 	return i.sync.Bernoulli(i.cfg.SyncErrorRate)
 }
 
@@ -161,6 +169,8 @@ func (i *StorageInjector) BitRot(n int) (int, bool) {
 	if i == nil || i.cfg.BitRotRate <= 0 || n <= 0 {
 		return 0, false
 	}
+	i.mu.Lock()
+	defer i.mu.Unlock()
 	if !i.rot.Bernoulli(i.cfg.BitRotRate) {
 		return 0, false
 	}
@@ -173,7 +183,10 @@ func (i *StorageInjector) SlowIO() time.Duration {
 	if i == nil || i.cfg.SlowIORate <= 0 {
 		return 0
 	}
-	if !i.slow.Bernoulli(i.cfg.SlowIORate) {
+	i.mu.Lock()
+	slow := i.slow.Bernoulli(i.cfg.SlowIORate)
+	i.mu.Unlock()
+	if !slow {
 		return 0
 	}
 	ms := i.cfg.SlowIODelayMS

@@ -2,6 +2,8 @@ package faults
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -140,5 +142,46 @@ func TestStorageInjectorErrnos(t *testing.T) {
 	}
 	if !errors.Is(ErrInjectedSync, syscall.EIO) {
 		t.Error("injected sync error does not wrap EIO")
+	}
+}
+
+// TestStorageInjectorConcurrentDraws pins that one injector may be
+// queried from several goroutines at once: rifserve shares it between
+// the result store and the job journal, which draw under different
+// locks. Run under -race; the draws must also still total the same
+// number of decisions.
+func TestStorageInjectorConcurrentDraws(t *testing.T) {
+	inj := NewStorage(StorageConfig{
+		WriteErrorRate: 0.5, TornWriteRate: 0.5, SyncErrorRate: 0.5, BitRotRate: 0.5,
+	}, 9)
+	const goroutines, draws = 4, 200
+	var wg sync.WaitGroup
+	var fails atomic.Int64
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < draws; k++ {
+				if inj.SyncError() {
+					fails.Add(1)
+				}
+				inj.WriteError()
+				inj.TornWrite()
+				inj.BitRot(64)
+			}
+		}()
+	}
+	wg.Wait()
+	// Serialized draws consume the sync stream in some interleaving of
+	// the same sequence, so the count equals a sequential replay's.
+	ref := NewStorage(StorageConfig{SyncErrorRate: 0.5}, 9)
+	want := int64(0)
+	for k := 0; k < goroutines*draws; k++ {
+		if ref.SyncError() {
+			want++
+		}
+	}
+	if got := fails.Load(); got != want {
+		t.Fatalf("concurrent draws produced %d sync failures, a sequential replay %d", got, want)
 	}
 }
