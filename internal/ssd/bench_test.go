@@ -51,6 +51,19 @@ func BenchmarkSimRiF2K(b *testing.B)  { benchRun(b, RiF, 2000, "Ali124", 1000) }
 func BenchmarkSimSENC2K(b *testing.B) { benchRun(b, Sentinel, 2000, "Ali124", 1000) }
 func BenchmarkSimMixed(b *testing.B)  { benchRun(b, RiF, 1000, "Ali2", 1000) }
 
+// BenchmarkNewDevice is the per-cell build cost at the grid's geometry
+// (the experiments shrink BlocksPerPlane to 256): the per-block
+// counters, the FTL's free lists and the stations.
+func BenchmarkNewDevice(b *testing.B) {
+	cfg := DefaultConfig(RiF, 2000)
+	cfg.Geometry.BlocksPerPlane = 256
+	for i := 0; i < b.N; i++ {
+		if _, err := New(cfg, allocStubWorkload{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkFTLWrite(b *testing.B) {
 	f := NewFTL(benchConfig(Zero, 0).Geometry)
 	b.ResetTimer()
