@@ -83,3 +83,44 @@ func allowed(m map[string]int) []string {
 	}
 	return keys
 }
+
+type block struct{ valid int }
+
+func badArgmin(blocks map[int]*block) int {
+	victim, best := -1, 1<<30
+	for b, st := range blocks { // want `storing the loop key or value in "victim" under a comparison`
+		if n := st.valid; n < best {
+			best = n
+			victim = b
+		}
+	}
+	return victim
+}
+
+func badArgmaxValue(blocks map[int]*block) *block {
+	var pick *block
+	for _, st := range blocks { // want `storing the loop key or value in "pick" under a comparison`
+		if pick == nil || st.valid > pick.valid {
+			pick = st
+		}
+	}
+	return pick
+}
+
+func okMinReduction(blocks map[int]*block) int {
+	best := 1 << 30
+	for _, st := range blocks { // the minimum value itself is order-insensitive
+		if n := st.valid; n < best {
+			best = n
+		}
+	}
+	return best
+}
+
+func okKeyedStore(m map[int]int, out []int) {
+	for k, v := range m { // each key writes its own slot
+		if v > 0 {
+			out[k] = v
+		}
+	}
+}

@@ -3,6 +3,7 @@ package ssd
 import (
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -79,5 +80,40 @@ func BenchmarkFTLLookupCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.Lookup(int64(i % 100000))
+	}
+}
+
+// BenchmarkFTLOverwrite is the FTL's steady state: random overwrites
+// of a 1<<17-page footprint that fills half of a 16-plane write
+// region, warmed until garbage collection runs, so the timed writes
+// pay their share of it. One op is one Write plus one Lookup.
+func BenchmarkFTLOverwrite(b *testing.B) {
+	geo := benchConfig(Zero, 0).Geometry
+	geo.Channels, geo.DiesPerChan, geo.PlanesPerDie = 2, 2, 4
+	const footprint = 1 << 17
+	const gcLow = 2
+	f := NewFTL(geo)
+	rng := sim.NewRNG(1, 1)
+	now := sim.Time(0)
+	overwrite := func(lpn int64) {
+		now++
+		if _, _, err := f.Write(lpn, now, gcLow); err != nil {
+			b.Fatal(err)
+		}
+		f.Lookup(rng.Int64N(footprint))
+	}
+	for lpn := int64(0); lpn < footprint; lpn++ {
+		overwrite(lpn)
+	}
+	for i := 0; i < 2*footprint; i++ {
+		overwrite(rng.Int64N(footprint))
+	}
+	if runs, _ := f.GCStats(); runs == 0 {
+		b.Fatal("warm-up never garbage collected")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		overwrite(rng.Int64N(footprint))
 	}
 }

@@ -3,6 +3,7 @@ package ssd
 import (
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -369,5 +370,51 @@ func TestDeadDieClearsDisturbOnce(t *testing.T) {
 	s.noteDeadDie(0)
 	if s.readCounts[probe] != 5 {
 		t.Fatal("second dead-die notification re-cleared counters")
+	}
+}
+
+// planeZeroWrites overwrites a random footprint of LPNs that all
+// stripe onto plane 0.
+type planeZeroWrites struct {
+	rng       *sim.RNG
+	stride    int64 // total planes
+	footprint int64
+}
+
+func (w *planeZeroWrites) Next() trace.Request {
+	return trace.Request{Op: trace.Write, LPN: w.rng.Int64N(w.footprint) * w.stride, Pages: 1}
+}
+
+func (*planeZeroWrites) InitialAgeDays(int64) float64 { return 0 }
+
+// TestGCChargesEveryVictim: one write can collect several victims
+// before the plane is back above its low-water mark, and each erase
+// must land on its own block's wear counter.
+func TestGCChargesEveryVictim(t *testing.T) {
+	cfg := smallConfig(RiF, 1000)
+	cfg.ReadReclaimThreshold = 0 // GC is the only eraser
+	cfg.Geometry.BlocksPerPlane = 64
+	cfg.Geometry.PagesPerBlock = 16
+	geo := cfg.Geometry
+	region := int64(geo.BlocksPerPlane/2) * int64(geo.PagesPerBlock)
+	w := &planeZeroWrites{
+		rng:       sim.NewRNG(3, 1),
+		stride:    int64(geo.Channels * geo.DiesPerChan * geo.PlanesPerDie),
+		footprint: region * 3 / 4,
+	}
+	s, err := New(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := s.Run(4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var erases int64
+	for _, e := range s.BlockState().Erases {
+		erases += e
+	}
+	if m.GCRuns < 100 || erases != m.GCRuns {
+		t.Fatalf("%d garbage collections charged %d erases", m.GCRuns, erases)
 	}
 }

@@ -31,10 +31,13 @@ func (s *SSD) startWrite(c *command) {
 		if work != nil {
 			c.gcTime += s.gcTime(work)
 			victim := work.Plane
-			victim.Block = work.VictimBlock
-			s.eraseCounts[s.cfg.Geometry.BlockID(victim)]++
-			// Erasing also clears the accumulated read disturb.
-			s.readCounts[s.cfg.Geometry.BlockID(victim)] = 0
+			for _, b := range work.Victims {
+				victim.Block = b
+				bid := s.cfg.Geometry.BlockID(victim)
+				s.eraseCounts[bid]++
+				// Erasing also clears the accumulated read disturb.
+				s.readCounts[bid] = 0
+			}
 		}
 	}
 
